@@ -5,6 +5,7 @@
 //       remote disk;
 //   (c) superfile vs naive many-small-files for Volren's images.
 // Every measured number is paired with the predictor's estimate.
+// `--json FILE` writes the virtual-time rows as a summary (BENCH_fig10.json).
 #include "apps/mse/mse.h"
 #include "apps/volren/volren.h"
 #include "bench_util.h"
@@ -57,7 +58,21 @@ double predict_read(ProducedWorld& world, const std::string& dataset,
   std::exit(1);
 }
 
-void part_a() {
+/// Appends one predicted-vs-measured row to the JSON summary.
+void add_row(std::string& rows, const char* part, const char* dataset,
+             Location location, double predicted, double measured) {
+  char row[256];
+  std::snprintf(row, sizeof(row),
+                "%s    {\"part\": \"%s\", \"dataset\": \"%s\", "
+                "\"location\": \"%s\", \"predicted_s\": %.4f, "
+                "\"measured_s\": %.4f}",
+                rows.empty() ? "" : ",\n", part, dataset,
+                std::string(core::location_name(location)).c_str(), predicted,
+                measured);
+  rows += row;
+}
+
+void part_a(std::string& rows) {
   std::printf("\n-- (a) data analysis: MSE over `temp` --------------------\n");
   std::printf("%-28s %14s %14s\n", "temp placed on", "predicted (s)",
               "measured (s)");
@@ -72,10 +87,11 @@ void part_a() {
     std::printf("%-28s %14.1f %14.1f\n",
                 std::string(core::location_name(location)).c_str(), predicted,
                 result.io_time);
+    add_row(rows, "a", "temp", location, predicted, result.io_time);
   }
 }
 
-void part_b() {
+void part_b(std::string& rows) {
   std::printf("\n-- (b) visualization: Volren over `vr_temp` --------------\n");
   std::printf("%-28s %14s %14s\n", "vr_temp placed on", "predicted (s)",
               "measured (s)");
@@ -96,6 +112,7 @@ void part_b() {
     std::printf("%-28s %14.1f %14.1f\n",
                 std::string(core::location_name(location)).c_str(), predicted,
                 result.read_io_time);
+    add_row(rows, "b", "vr_temp", location, predicted, result.read_io_time);
   }
   std::printf("local-vs-tape read speedup: %.1fx (paper: ~10x)\n",
               tape_time / local_time);
@@ -116,10 +133,11 @@ void part_b() {
     std::printf("%-28s %14.1f %14.1f\n",
                 std::string(core::location_name(location)).c_str(), predicted,
                 tl.now());
+    add_row(rows, "b", "vr_press", location, predicted, tl.now());
   }
 }
 
-void part_c() {
+void part_c(std::string& rows) {
   std::printf("\n-- (c) superfile vs naive small files (Volren images) ----\n");
   auto world = produce({{"vr_temp", Location::kLocalDisk}});
   std::printf("%-28s %14s %14s\n", "method", "write (s)", "read-back (s)");
@@ -170,19 +188,32 @@ void part_c() {
   std::printf("%-28s %14.1f %14.1f\n", "superfile", super_write, super_read);
   std::printf("superfile speedup: write %.1fx, read %.1fx\n",
               naive_write / super_write, naive_read / super_read);
+  char row[256];
+  std::snprintf(row, sizeof(row),
+                ",\n    {\"part\": \"c\", \"method\": \"naive\", "
+                "\"write_s\": %.4f, \"read_s\": %.4f},\n"
+                "    {\"part\": \"c\", \"method\": \"superfile\", "
+                "\"write_s\": %.4f, \"read_s\": %.4f}",
+                naive_write, naive_read, super_write, super_read);
+  rows += row;
 }
 
-int run() {
+int run(int argc, char** argv) {
+  const std::string json_out = consume_json_out_flag(argc, argv);
   print_header(
       "Figure 10 — post-processing I/O: analysis, visualization, superfile",
       "Shen et al., HPDC 2000, Figure 10 (a), (b), (c)");
-  part_a();
-  part_b();
-  part_c();
+  std::string rows;
+  part_a(rows);
+  part_b(rows);
+  part_c(rows);
+  write_summary_json(json_out,
+                     "{\n  \"figure\": \"fig10\",\n  \"rows\": [\n" + rows +
+                         "\n  ]\n}");
   return 0;
 }
 
 }  // namespace
 }  // namespace msra::bench
 
-int main() { return msra::bench::run(); }
+int main(int argc, char** argv) { return msra::bench::run(argc, argv); }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the figure benchmarks and collects machine-readable summaries
-# (BENCH_fig6.json ... BENCH_fig9.json) in one place.
+# (BENCH_fig6.json ... BENCH_fig10.json and the feature benches) in one place.
 #
 # Usage:   bench/run_all.sh [BUILD_DIR] [OUT_DIR]
 # Default: BUILD_DIR=build, OUT_DIR=bench-results
@@ -30,6 +30,7 @@ run bench_fig6_localdisk  fig6
 run bench_fig7_remotedisk fig7
 run bench_fig8_remotetape fig8
 run bench_fig9_astro3d    fig9
+run bench_fig10_postproc  fig10
 run bench_migration       migration
 run bench_contention      contention
 run bench_fleet           fleet
@@ -49,7 +50,7 @@ ls -l "${OUT_DIR}"/BENCH_*.json
 if [[ "${MSRA_FULL_SCALE:-0}" != "1" ]]; then
   BASELINE_DIR="$(dirname "$0")/baselines"
   drift=0
-  for fig in fig6 fig7 fig8 fig9 migration contention fleet cache cluster qos flow; do
+  for fig in fig6 fig7 fig8 fig9 fig10 migration contention fleet cache cluster qos flow; do
     if ! diff -u "${BASELINE_DIR}/BENCH_${fig}.json" \
                  "${OUT_DIR}/BENCH_${fig}.json"; then
       echo "PARITY DRIFT: ${fig} differs from ${BASELINE_DIR}" >&2

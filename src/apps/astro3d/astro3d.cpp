@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/log.h"
 #include "prt/comm.h"
@@ -79,6 +78,64 @@ std::vector<core::DatasetDesc> dataset_descs(const Config& config) {
 
 // -------------------------------------------------------------- kernel ----
 
+namespace {
+
+using Extent3 = std::array<std::size_t, 3>;
+
+Extent3 extents_of(const prt::LocalBox& box) {
+  return {static_cast<std::size_t>(box.extent[0].size()),
+          static_cast<std::size_t>(box.extent[1].size()),
+          static_cast<std::size_t>(box.extent[2].size())};
+}
+
+/// Row-major strides of a dense block with extents `n`.
+Extent3 strides_of(const Extent3& n) { return {n[1] * n[2], n[2], 1}; }
+
+/// Strides of the ghost-padded copy of a block with extents `n`.
+Extent3 padded_strides(const Extent3& n) {
+  return strides_of({n[0] + 2, n[1] + 2, n[2] + 2});
+}
+
+/// Strides of a packed halo face normal to dim d: element (a, b) of the
+/// (d+1, d+2 mod 3) plane sits at a * n[d2] + b.
+Extent3 face_strides(std::size_t d, const Extent3& n) {
+  Extent3 s{};
+  s[(d + 1) % 3] = n[(d + 2) % 3];
+  s[(d + 2) % 3] = 1;
+  return s;
+}
+
+/// Copies the n[d1] x n[d2] plane normal to dim d between two strided
+/// layouts; `from` and `to` point at the plane's (0, 0) element.
+void copy_plane(std::size_t d, const Extent3& n, const float* from,
+                const Extent3& from_strides, float* to,
+                const Extent3& to_strides) {
+  const std::size_t d1 = (d + 1) % 3, d2 = (d + 2) % 3;
+  for (std::size_t a = 0; a < n[d1]; ++a) {
+    for (std::size_t b = 0; b < n[d2]; ++b) {
+      to[a * to_strides[d1] + b * to_strides[d2]] =
+          from[a * from_strides[d1] + b * from_strides[d2]];
+    }
+  }
+}
+
+/// Origin of the box's own edge plane (d, s) in a dense block: s = 0 is
+/// its lowest index in dim d, s = 1 its highest.
+const float* edge_plane(const float* cells, const Extent3& n, std::size_t d,
+                        int s) {
+  return cells + (s == 0 ? 0 : n[d] - 1) * strides_of(n)[d];
+}
+
+/// Origin of ghost plane (d, s) of a padded block: s = 0 below the box in
+/// dim d, s = 1 above it; one cell in from the padding in the other dims.
+float* ghost_plane(float* padded, const Extent3& n, std::size_t d, int s) {
+  const Extent3 ps = padded_strides(n);
+  return padded + (s == 0 ? 0 : n[d] + 1) * ps[d] + ps[(d + 1) % 3] +
+         ps[(d + 2) % 3];
+}
+
+}  // namespace
+
 State::State(const prt::Decomposition& decomp, int rank)
     : decomp_(&decomp), rank_(rank), box_(decomp.local_box(rank)) {
   for (auto& field : fields_) field = prt::Array3D<float>(box_);
@@ -114,34 +171,21 @@ void State::initialize(const std::array<std::uint64_t, 3>& dims) {
   }
 }
 
-Halo State::exchange_halo(prt::Comm& comm, Field f) const {
-  const auto& src = fields_[static_cast<int>(f)];
+void State::exchange_halo(prt::Comm& comm, Field f) {
+  const float* cells = fields_[static_cast<int>(f)].flat().data();
   const prt::ProcessGrid& grid = decomp_->grid();
   const auto coords = grid.coords_of(rank_);
-  const auto& e = box_.extent;
+  const Extent3 n = extents_of(box_);
   const int base_tag = static_cast<int>(f) * 6;
 
   auto neighbor_of = [&](std::size_t d, int s) -> int {
-    auto n = coords;
-    n[d] += (s == 0 ? -1 : 1);
-    if (n[d] < 0 || n[d] >= grid.shape[d]) return -1;
-    return grid.rank_of(n);
+    auto nb = coords;
+    nb[d] += (s == 0 ? -1 : 1);
+    if (nb[d] < 0 || nb[d] >= grid.shape[d]) return -1;
+    return grid.rank_of(nb);
   };
-  auto pack_face = [&](std::size_t d, int s) {
-    std::vector<float> face;
-    const std::uint64_t fixed = (s == 0) ? e[d].lo : e[d].hi - 1;
-    const std::size_t d1 = (d + 1) % 3, d2 = (d + 2) % 3;
-    face.reserve(static_cast<std::size_t>(e[d1].size() * e[d2].size()));
-    std::array<std::uint64_t, 3> idx{};
-    idx[d] = fixed;
-    for (std::uint64_t a = e[d1].lo; a < e[d1].hi; ++a) {
-      for (std::uint64_t b = e[d2].lo; b < e[d2].hi; ++b) {
-        idx[d1] = a;
-        idx[d2] = b;
-        face.push_back(src.at(idx[0], idx[1], idx[2]));
-      }
-    }
-    return face;
+  auto face_bytes = [&](std::size_t d) {
+    return n[(d + 1) % 3] * n[(d + 2) % 3] * sizeof(float);
   };
 
   // Post all sends first: our prt send() is buffered and never blocks.
@@ -149,14 +193,13 @@ Halo State::exchange_halo(prt::Comm& comm, Field f) const {
     for (int s = 0; s < 2; ++s) {
       const int neighbor = neighbor_of(d, s);
       if (neighbor < 0) continue;
-      auto face = pack_face(d, s);
-      std::vector<std::byte> bytes(face.size() * sizeof(float));
-      std::memcpy(bytes.data(), face.data(), bytes.size());
+      std::vector<std::byte> bytes(face_bytes(d));
+      copy_plane(d, n, edge_plane(cells, n, d, s), strides_of(n),
+                 reinterpret_cast<float*>(bytes.data()), face_strides(d, n));
       comm.send(neighbor, base_tag + static_cast<int>(d) * 2 + s,
                 std::move(bytes));
     }
   }
-  Halo halo;
   for (std::size_t d = 0; d < 3; ++d) {
     for (int s = 0; s < 2; ++s) {
       const int neighbor = neighbor_of(d, s);
@@ -164,52 +207,12 @@ Halo State::exchange_halo(prt::Comm& comm, Field f) const {
       // The neighbor in direction s sent its opposite face (1 - s).
       auto bytes =
           comm.recv(neighbor, base_tag + static_cast<int>(d) * 2 + (1 - s));
-      auto& face = halo.face[d][static_cast<std::size_t>(s)];
-      face.resize(bytes.size() / sizeof(float));
-      std::memcpy(face.data(), bytes.data(), bytes.size());
+      if (bytes.size() != face_bytes(d)) continue;  // keep the clamped edge
+      copy_plane(d, n, reinterpret_cast<const float*>(bytes.data()),
+                 face_strides(d, n), ghost_plane(padded_.data(), n, d, s),
+                 padded_strides(n));
     }
   }
-  return halo;
-}
-
-float State::sample(const prt::Array3D<float>& src, const Halo* halo,
-                    const prt::LocalBox& box, std::int64_t i, std::int64_t j,
-                    std::int64_t k) {
-  const std::array<std::int64_t, 3> idx = {i, j, k};
-  std::array<std::uint64_t, 3> inside{};
-  int out_dim = -1;
-  int out_dir = 0;
-  for (std::size_t d = 0; d < 3; ++d) {
-    const auto lo = static_cast<std::int64_t>(box.extent[d].lo);
-    const auto hi = static_cast<std::int64_t>(box.extent[d].hi);
-    if (idx[d] < lo) {
-      out_dim = static_cast<int>(d);
-      out_dir = 0;
-      inside[d] = static_cast<std::uint64_t>(lo);
-    } else if (idx[d] >= hi) {
-      out_dim = static_cast<int>(d);
-      out_dir = 1;
-      inside[d] = static_cast<std::uint64_t>(hi - 1);
-    } else {
-      inside[d] = static_cast<std::uint64_t>(idx[d]);
-    }
-  }
-  if (out_dim < 0) return src.at(inside[0], inside[1], inside[2]);
-  // One cell outside the box in exactly one dimension (stencil property).
-  if (halo != nullptr) {
-    const auto& face =
-        halo->face[static_cast<std::size_t>(out_dim)][static_cast<std::size_t>(out_dir)];
-    if (!face.empty()) {
-      const std::size_t d = static_cast<std::size_t>(out_dim);
-      const std::size_t d1 = (d + 1) % 3, d2 = (d + 2) % 3;
-      const std::uint64_t a = inside[d1] - box.extent[d1].lo;
-      const std::uint64_t b = inside[d2] - box.extent[d2].lo;
-      return face[static_cast<std::size_t>(a * box.extent[d2].size() + b)];
-    }
-  }
-  // No halo: clamped edge (the global-domain boundary condition, or the
-  // serial-mode approximation at internal box edges).
-  return src.at(inside[0], inside[1], inside[2]);
 }
 
 void State::step(const std::array<std::uint64_t, 3>& dims, int iteration,
@@ -217,59 +220,82 @@ void State::step(const std::array<std::uint64_t, 3>& dims, int iteration,
   (void)dims;
   const float dt = 0.1f;
   const float kappa = 0.15f;  // diffusion
-  const auto& e = box_.extent;
   // Explicit update: diffusion of every field plus velocity-driven upwind
   // advection and a time-varying heat source (a documented simplification
   // of the Godunov + Crank-Nicholson scheme — the I/O layers only need
-  // honestly evolving fields). With a Comm, ghost faces make the parallel
-  // evolution bit-identical to the serial one.
-  const float source_phase = 0.05f * static_cast<float>(iteration);
+  // honestly evolving fields). The float expressions below keep their
+  // order: the golden-field test pins the fields bit for bit.
+  const Extent3 n = extents_of(box_);
+  const Extent3 ss = strides_of(n);
+  const Extent3 ps = padded_strides(n);
+  padded_.resize((n[0] + 2) * ps[0]);
+  float* pad = padded_.data();
+  const float* uz = field(Field::kUz).flat().data();
   for (int f = 0; f < kNumFields; ++f) {
-    const auto& src = fields_[f];
-    auto& dst = scratch_[f];
-    Halo halo;
-    const Halo* halo_ptr = nullptr;
-    if (comm != nullptr && comm->size() > 1) {
-      halo = exchange_halo(*comm, static_cast<Field>(f));
-      halo_ptr = &halo;
+    const float* cells = fields_[f].flat().data();
+    float* dst = scratch_[f].flat().data();
+    for (std::size_t i = 0; i < n[0]; ++i) {
+      for (std::size_t j = 0; j < n[1]; ++j) {
+        std::copy_n(cells + i * ss[0] + j * ss[1], n[2],
+                    pad + (i + 1) * ps[0] + (j + 1) * ps[1] + 1);
+      }
     }
-    for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
-      for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
-        for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
-          const auto si = static_cast<std::int64_t>(i);
-          const auto sj = static_cast<std::int64_t>(j);
-          const auto sk = static_cast<std::int64_t>(k);
-          const float center = src.at(i, j, k);
-          const float lap = sample(src, halo_ptr, box_, si - 1, sj, sk) +
-                            sample(src, halo_ptr, box_, si + 1, sj, sk) +
-                            sample(src, halo_ptr, box_, si, sj - 1, sk) +
-                            sample(src, halo_ptr, box_, si, sj + 1, sk) +
-                            sample(src, halo_ptr, box_, si, sj, sk - 1) +
-                            sample(src, halo_ptr, box_, si, sj, sk + 1) -
+    // Clamped edge: the global-domain boundary condition, or the serial
+    // approximation at internal box edges when there is no Comm.
+    for (std::size_t d = 0; d < 3; ++d) {
+      for (int s = 0; s < 2; ++s) {
+        copy_plane(d, n, edge_plane(cells, n, d, s), ss,
+                   ghost_plane(pad, n, d, s), ps);
+      }
+    }
+    if (comm != nullptr && comm->size() > 1) {
+      exchange_halo(*comm, static_cast<Field>(f));
+    }
+    for (std::size_t i = 0; i < n[0]; ++i) {
+      for (std::size_t j = 0; j < n[1]; ++j) {
+        const float* c = pad + (i + 1) * ps[0] + (j + 1) * ps[1] + 1;
+        const float* xm = c - ps[0];
+        const float* xp = c + ps[0];
+        const float* ym = c - ps[1];
+        const float* yp = c + ps[1];
+        const float* zm = c - 1;
+        const float* zp = c + 1;
+        const float* w = uz + i * ss[0] + j * ss[1];
+        float* out = dst + i * ss[0] + j * ss[1];
+        for (std::size_t k = 0; k < n[2]; ++k) {
+          const float center = c[k];
+          const float lap = xm[k] + xp[k] + ym[k] + yp[k] + zm[k] + zp[k] -
                             6.0f * center;
           float value = center + dt * kappa * lap;
           // First-order upwind advection along uz (cheap, keeps motion).
-          const float w = field(Field::kUz).at(i, j, k);
-          const float below = sample(src, halo_ptr, box_, si, sj, sk - 1);
-          const float above = sample(src, halo_ptr, box_, si, sj, sk + 1);
-          const float upwind = w > 0 ? center - below : above - center;
-          value -= dt * w * upwind;
-          dst.at(i, j, k) = value;
+          const float upwind = w[k] > 0 ? center - zm[k] : zp[k] - center;
+          value -= dt * w[k] * upwind;
+          out[k] = value;
         }
       }
     }
   }
   for (int f = 0; f < kNumFields; ++f) std::swap(fields_[f], scratch_[f]);
-  // A pulsing heat source keeps temp/press evolving (and MSE non-zero).
-  auto& temp = field(Field::kTemp);
-  auto& press = field(Field::kPress);
-  for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
-    for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
-      for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
-        const float heat =
-            0.02f * std::sin(source_phase + 0.1f * static_cast<float>(i + j + k));
-        temp.at(i, j, k) += heat;
-        press.at(i, j, k) += 0.5f * heat;
+  // A pulsing heat source keeps temp/press evolving (and MSE non-zero). It
+  // depends on the cell only through i + j + k: one sin per diagonal.
+  const float source_phase = 0.05f * static_cast<float>(iteration);
+  const std::uint64_t diag0 =
+      box_.extent[0].lo + box_.extent[1].lo + box_.extent[2].lo;
+  std::vector<float> heat(n[0] + n[1] + n[2] - 2);
+  for (std::size_t s = 0; s < heat.size(); ++s) {
+    heat[s] = 0.02f * std::sin(source_phase +
+                               0.1f * static_cast<float>(diag0 + s));
+  }
+  float* temp = field(Field::kTemp).flat().data();
+  float* press = field(Field::kPress).flat().data();
+  for (std::size_t i = 0; i < n[0]; ++i) {
+    for (std::size_t j = 0; j < n[1]; ++j) {
+      const float* h = heat.data() + i + j;
+      float* t = temp + i * ss[0] + j * ss[1];
+      float* p = press + i * ss[0] + j * ss[1];
+      for (std::size_t k = 0; k < n[2]; ++k) {
+        t[k] += h[k];
+        p[k] += 0.5f * h[k];
       }
     }
   }
@@ -277,50 +303,37 @@ void State::step(const std::array<std::uint64_t, 3>& dims, int iteration,
 
 std::vector<std::uint8_t> State::render_field(const std::string& vr_name) const {
   // Map the derived quantity to floats, then normalize this block to uchar.
-  const auto& e = box_.extent;
-  std::vector<float> values;
-  values.reserve(static_cast<std::size_t>(box_.volume()));
-  auto push_all = [&](auto&& fn) {
-    for (std::uint64_t i = e[0].lo; i < e[0].hi; ++i) {
-      for (std::uint64_t j = e[1].lo; j < e[1].hi; ++j) {
-        for (std::uint64_t k = e[2].lo; k < e[2].hi; ++k) {
-          values.push_back(fn(i, j, k));
-        }
-      }
-    }
+  // Cells are visited in storage order, which is (i, j, k) order.
+  const float* rho = field(Field::kRho).flat().data();
+  const float* temp = field(Field::kTemp).flat().data();
+  const float* press = field(Field::kPress).flat().data();
+  const float* ux = field(Field::kUx).flat().data();
+  const float* uy = field(Field::kUy).flat().data();
+  const float* uz = field(Field::kUz).flat().data();
+  std::vector<float> values(static_cast<std::size_t>(box_.volume()));
+  auto fill = [&](auto&& fn) {
+    for (std::size_t n = 0; n < values.size(); ++n) values[n] = fn(n);
   };
-  const auto& rho = field(Field::kRho);
-  const auto& temp = field(Field::kTemp);
-  const auto& press = field(Field::kPress);
-  const auto& ux = field(Field::kUx);
-  const auto& uy = field(Field::kUy);
-  const auto& uz = field(Field::kUz);
   if (vr_name == "vr_scalar" || vr_name == "vr_temp") {
-    push_all([&](auto i, auto j, auto k) { return temp.at(i, j, k); });
+    std::copy_n(temp, values.size(), values.begin());
   } else if (vr_name == "vr_press") {
-    push_all([&](auto i, auto j, auto k) { return press.at(i, j, k); });
+    std::copy_n(press, values.size(), values.begin());
   } else if (vr_name == "vr_rho") {
-    push_all([&](auto i, auto j, auto k) { return rho.at(i, j, k); });
+    std::copy_n(rho, values.size(), values.begin());
   } else if (vr_name == "vr_mach") {
-    push_all([&](auto i, auto j, auto k) {
-      const float u2 = ux.at(i, j, k) * ux.at(i, j, k) +
-                       uy.at(i, j, k) * uy.at(i, j, k) +
-                       uz.at(i, j, k) * uz.at(i, j, k);
-      const float c2 = std::max(1e-6f, press.at(i, j, k) /
-                                           std::max(1e-6f, rho.at(i, j, k)));
+    fill([&](std::size_t n) {
+      const float u2 = ux[n] * ux[n] + uy[n] * uy[n] + uz[n] * uz[n];
+      const float c2 =
+          std::max(1e-6f, press[n] / std::max(1e-6f, rho[n]));
       return std::sqrt(u2 / c2);
     });
   } else if (vr_name == "vr_ek") {
-    push_all([&](auto i, auto j, auto k) {
-      const float u2 = ux.at(i, j, k) * ux.at(i, j, k) +
-                       uy.at(i, j, k) * uy.at(i, j, k) +
-                       uz.at(i, j, k) * uz.at(i, j, k);
-      return 0.5f * rho.at(i, j, k) * u2;
+    fill([&](std::size_t n) {
+      const float u2 = ux[n] * ux[n] + uy[n] * uy[n] + uz[n] * uz[n];
+      return 0.5f * rho[n] * u2;
     });
   } else {  // vr_logrho
-    push_all([&](auto i, auto j, auto k) {
-      return std::log(std::max(1e-6f, rho.at(i, j, k)));
-    });
+    fill([&](std::size_t n) { return std::log(std::max(1e-6f, rho[n])); });
   }
   float lo = values[0], hi = values[0];
   for (float v : values) {

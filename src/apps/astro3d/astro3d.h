@@ -10,9 +10,14 @@
 //                                    vr_mach vr_ek vr_logrho
 //   * 6 checkpoint sets    (float):  restart_* (over_write mode)
 // Our kernel evolves the same six fields with an explicit
-// advection-diffusion update (clamped stencil at block edges — documented
-// simplification), so the data genuinely changes every timestep and the
-// post-processing consumers (MSE, Volren, slicing) operate on real fields.
+// advection-diffusion update (clamped stencil at the domain boundary —
+// documented simplification), so the data genuinely changes every timestep
+// and the post-processing consumers (MSE, Volren, slicing) operate on real
+// fields. Each step copies a field into one ghost-padded buffer whose six
+// ghost planes hold either the neighbor rank's halo face or the clamped
+// edge plane, then runs a branch-free stencil over contiguous k-rows. The
+// float expressions keep one fixed order, so the fields are bit-identical
+// run to run and a halo-exchanging parallel run matches the serial one.
 #pragma once
 
 #include <array>
@@ -75,13 +80,6 @@ struct Result {
   std::map<std::string, core::Location> placements;
 };
 
-/// Halo (ghost-cell) faces of one field, one per (dimension, direction).
-/// halo[d][0] is the neighbor plane just below the box in dim d, halo[d][1]
-/// just above; empty when the box touches the global domain boundary.
-struct Halo {
-  std::array<std::array<std::vector<float>, 2>, 3> face;
-};
-
 /// The state of one rank's block of the simulation.
 class State {
  public:
@@ -96,10 +94,14 @@ class State {
   /// Deterministic initial condition (smooth blobs + stratification).
   void initialize(const std::array<std::uint64_t, 3>& dims);
 
-  /// One explicit advection-diffusion step. Without a Comm the stencil is
-  /// clamped at the *local* box edge (serial semantics); with a Comm, ghost
-  /// faces are exchanged with the neighboring ranks first, so a parallel
-  /// run evolves bit-identically to a serial one.
+  /// One explicit advection-diffusion step. Each field is copied into a
+  /// ghost-padded (ni+2)(nj+2)(nk+2) buffer. Without a Comm its ghost planes
+  /// are the clamped *local* box edge (serial semantics); with a Comm, the
+  /// planes facing a neighbor rank hold that rank's exchanged face, so a
+  /// parallel run evolves bit-identically to a serial one. The stencil keeps
+  /// the float order lap = xm + xp + ym + yp + zm + zp - 6*center, then
+  /// center + dt*kappa*lap, then the upwind term: changing it changes the
+  /// fields, which the golden-field test pins.
   void step(const std::array<std::uint64_t, 3>& dims, int iteration,
             prt::Comm* comm = nullptr);
 
@@ -107,21 +109,17 @@ class State {
   std::vector<std::uint8_t> render_field(const std::string& vr_name) const;
 
  private:
-  /// Exchanges the six boundary faces of field `f` with neighbor ranks.
-  Halo exchange_halo(prt::Comm& comm, Field f) const;
-
-  /// Value of `src` at (i, j, k) where the index may lie one cell outside
-  /// the box: served from the halo if available, else clamped to the edge
-  /// (the global domain boundary condition).
-  static float sample(const prt::Array3D<float>& src, const Halo* halo,
-                      const prt::LocalBox& box, std::int64_t i, std::int64_t j,
-                      std::int64_t k);
+  /// Exchanges the six boundary faces of field `f` with neighbor ranks and
+  /// writes each received face into the matching ghost plane of padded_.
+  void exchange_halo(prt::Comm& comm, Field f);
 
   const prt::Decomposition* decomp_;
   int rank_;
   prt::LocalBox box_;
   std::array<prt::Array3D<float>, kNumFields> fields_;
   std::array<prt::Array3D<float>, kNumFields> scratch_;
+  /// Ghost-padded copy of the field being stepped, reused across fields.
+  std::vector<float> padded_;
 };
 
 /// Runs the full simulation through the session API. `session` must have

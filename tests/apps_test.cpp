@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <span>
 
 #include "apps/astro3d/astro3d.h"
 #include "apps/imgview/image.h"
@@ -435,7 +438,151 @@ TEST_P(HaloEquivalence, ParallelMatchesSerialBitForBit) {
       << mismatches.size() << " mismatches; first: " << mismatches.front();
 }
 
-INSTANTIATE_TEST_SUITE_P(Ranks, HaloEquivalence, ::testing::Values(2, 4, 8));
+INSTANTIATE_TEST_SUITE_P(Ranks, HaloEquivalence,
+                         ::testing::Values(2, 3, 4, 6, 8));
+
+// Golden fields: 32-bit FNV-1a of every rank's six fields after 12 steps and
+// of its seven render_field outputs, folded over the ranks in rank order.
+// The constants were computed with the earlier per-cell, bounds-checked
+// stencil, before the ghost-padded rewrite, so any change to the kernel's
+// float arithmetic shows here rather than only as new-vs-new drift.
+std::uint32_t fnv1a(std::span<const std::byte> bytes, std::uint32_t h) {
+  for (std::byte b : bytes) {
+    h ^= static_cast<std::uint32_t>(b);
+    h *= 16777619u;
+  }
+  return h;
+}
+
+constexpr std::size_t kGoldenOutputs = astro3d::kNumFields + 7;  // + viz sets
+using GoldenHashes = std::array<std::uint32_t, kGoldenOutputs>;
+
+struct GoldenCase {
+  std::array<std::uint64_t, 3> dims;
+  int nprocs;
+  bool with_comm;  // step(dims, it, &comm), else the comm-less local clamp
+  GoldenHashes hashes;
+};
+
+GoldenHashes golden_run(const std::array<std::uint64_t, 3>& dims, int nprocs,
+                        bool with_comm) {
+  auto decomp = prt::Decomposition::create(dims, nprocs, "BBB");
+  EXPECT_TRUE(decomp.ok());
+  std::vector<std::vector<std::vector<std::byte>>> outputs(
+      static_cast<std::size_t>(nprocs));
+  auto evolve = [&](int rank, prt::Comm* comm) {
+    astro3d::State state(*decomp, rank);
+    state.initialize(dims);
+    for (int it = 1; it <= 12; ++it) state.step(dims, it, comm);
+    auto& out = outputs[static_cast<std::size_t>(rank)];
+    for (int f = 0; f < astro3d::kNumFields; ++f) {
+      auto bytes = state.field(static_cast<astro3d::Field>(f)).bytes();
+      out.emplace_back(bytes.begin(), bytes.end());
+    }
+    for (const auto& name : astro3d::viz_names()) {
+      auto pixels = state.render_field(name);
+      auto bytes = std::as_bytes(std::span(pixels));
+      out.emplace_back(bytes.begin(), bytes.end());
+    }
+  };
+  if (with_comm) {
+    prt::World world(nprocs);
+    world.run([&](prt::Comm& comm) { evolve(comm.rank(), &comm); });
+  } else {
+    for (int rank = 0; rank < nprocs; ++rank) evolve(rank, nullptr);
+  }
+  GoldenHashes hashes;
+  hashes.fill(2166136261u);
+  for (const auto& out : outputs) {
+    EXPECT_EQ(out.size(), kGoldenOutputs);
+    for (std::size_t n = 0; n < kGoldenOutputs; ++n) {
+      hashes[n] = fnv1a(out[n], hashes[n]);
+    }
+  }
+  return hashes;
+}
+
+TEST(Astro3DTest, GoldenFieldsMatchReferenceKernel) {
+  static const GoldenCase kCases[] = {
+      {{12, 10, 8}, 1, true,
+       {0x16eade83, 0xe762c92a, 0x3593c0c5, 0xccf9b485, 0x8797481d,
+        0xb01d8d59, 0x87a40b31, 0x1b87fade, 0x55da5a75, 0x87a40b31,
+        0xdf9234b9, 0xe912fb55, 0x95671d75}},
+      {{12, 10, 8}, 1, false,
+       {0x16eade83, 0xe762c92a, 0x3593c0c5, 0xccf9b485, 0x8797481d,
+        0xb01d8d59, 0x87a40b31, 0x1b87fade, 0x55da5a75, 0x87a40b31,
+        0xdf9234b9, 0xe912fb55, 0x95671d75}},
+      {{12, 10, 8}, 2, true,
+       {0x16eade83, 0xe762c92a, 0x3593c0c5, 0xccf9b485, 0x8797481d,
+        0xb01d8d59, 0x14c58da1, 0xcfbf7b2d, 0x55da5a75, 0x14c58da1,
+        0xc7416925, 0xe912fb55, 0x95671d75}},
+      {{12, 10, 8}, 2, false,
+       {0x2a3498ed, 0xd04fbe1e, 0x3593c0c5, 0xccf9b485, 0x8797481d,
+        0xb01d8d59, 0x19b35e0e, 0x514ccec4, 0x55da5a75, 0x19b35e0e,
+        0x936986b0, 0xe912fb55, 0x95671d75}},
+      {{12, 10, 8}, 4, true,
+       {0xb8ccb6b3, 0x8bc966f6, 0xc490279d, 0x725d0485, 0xe736ec15,
+        0x2f8b6df1, 0x63ec6552, 0xe19d8ca7, 0xdb5489f5, 0x63ec6552,
+        0x29e694c0, 0x7a53a75d, 0x8cfa0b6d}},
+      {{12, 10, 8}, 4, false,
+       {0x8d739f67, 0x0c3fb851, 0x7e7a424d, 0x03be5605, 0x640d1b61,
+        0x2f8b6df1, 0x3c5a6794, 0x8c5e619b, 0xdb5489f5, 0x3c5a6794,
+        0x164f31fb, 0x647de315, 0x8cfa0b6d}},
+      {{12, 10, 8}, 8, true,
+       {0xd4873dff, 0x4b1ef642, 0x6427f0e5, 0x1b135505, 0xd0e74695,
+        0x76789c51, 0xcd2f93a9, 0xbc9066f3, 0xc6e35a25, 0xcd2f93a9,
+        0x3b7708cc, 0x644ac4d5, 0x07f4225d}},
+      {{12, 10, 8}, 8, false,
+       {0xa3be8746, 0x2da277c7, 0xb6141659, 0x5e521b05, 0xdd189875,
+        0xdd928d55, 0x7672b916, 0x7b99b3c0, 0x7235b1a5, 0x7672b916,
+        0xaff16b7f, 0xd19546a1, 0x232a36f5}},
+      {{17, 9, 23}, 1, true,
+       {0xd46a4ac2, 0x337ce434, 0x387f051f, 0x52d732e0, 0xee37174a,
+        0xe83b7f1f, 0x51973fd6, 0xd2605bad, 0x7f5b62ab, 0x51973fd6,
+        0x8f4047f4, 0x035c0e25, 0x45bc7125}},
+      {{17, 9, 23}, 1, false,
+       {0xd46a4ac2, 0x337ce434, 0x387f051f, 0x52d732e0, 0xee37174a,
+        0xe83b7f1f, 0x51973fd6, 0xd2605bad, 0x7f5b62ab, 0x51973fd6,
+        0x8f4047f4, 0x035c0e25, 0x45bc7125}},
+      {{17, 9, 23}, 2, true,
+       {0x56119bc2, 0x1d8d696c, 0xbc064e73, 0xc387f4d0, 0x2220f2be,
+        0x8360540f, 0x2ec9b0f4, 0x271359a9, 0x992ea524, 0x2ec9b0f4,
+        0x1cfe67e2, 0x4a1a120b, 0xee39d319}},
+      {{17, 9, 23}, 2, false,
+       {0x175fbe76, 0x7ff66728, 0x0758c675, 0xc387f4d0, 0x410698c3,
+        0xc474735f, 0x782f76ab, 0xbf6dca41, 0x7d86ac8c, 0x782f76ab,
+        0x56ae647d, 0x94e6913f, 0x000c6345}},
+      {{17, 9, 23}, 4, true,
+       {0x9421a172, 0x353e16cc, 0x5c8e0613, 0x82252050, 0xbeb0272e,
+        0xd326e3ef, 0x72084e7e, 0xdaa5c43b, 0x52121dcf, 0x72084e7e,
+        0x7adc81a2, 0xc0203d9e, 0x3682ee74}},
+      {{17, 9, 23}, 4, false,
+       {0xd1b59d6c, 0x48a8eea7, 0x6d78665b, 0x82252050, 0xf4b88434,
+        0x6dff86ed, 0xb57f1b21, 0x396f141f, 0x32042649, 0xb57f1b21,
+        0x661a93d2, 0x797b6039, 0xfe6d506b}},
+      {{17, 9, 23}, 8, true,
+       {0xc3458506, 0x4f5dea9c, 0x72fa1c83, 0x057e1b88, 0x7b14765e,
+        0x1908bd23, 0x9eb6ed1b, 0xb0e53fb4, 0xfeee8cfc, 0x9eb6ed1b,
+        0x95816de4, 0x9a9e2752, 0x139409dd}},
+      {{17, 9, 23}, 8, false,
+       {0x4fb024f6, 0x24107b4e, 0x8c4ba76d, 0x057e1b88, 0xb9d6ab5f,
+        0x97a988fd, 0x2b72319b, 0x15fe0554, 0x1a464476, 0x2b72319b,
+        0xf6b057a0, 0xfe8f4600, 0xd6cbaf32}},
+  };
+  for (const auto& c : kCases) {
+    const GoldenHashes got = golden_run(c.dims, c.nprocs, c.with_comm);
+    std::string row;
+    char hex[16];
+    for (std::uint32_t h : got) {
+      std::snprintf(hex, sizeof(hex), "0x%08x, ", h);
+      row += hex;
+    }
+    EXPECT_EQ(got, c.hashes)
+        << "dims " << c.dims[0] << "x" << c.dims[1] << "x" << c.dims[2]
+        << ", " << c.nprocs << " ranks, " << (c.with_comm ? "comm" : "local")
+        << ": got {" << row << "}";
+  }
+}
 
 // Checkpoint/restart: interrupt a run at its checkpoint, resume in a new
 // session, and land on exactly the state of an uninterrupted run.
